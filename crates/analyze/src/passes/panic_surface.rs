@@ -1,5 +1,5 @@
-//! SA003 — panic surface: the whole-workspace generalization of the
-//! old `cargo xtask unwrap-gate`.
+//! SA003 — panic surface: a per-file ratchet on panic sites over the
+//! whole workspace.
 //!
 //! Counts `.unwrap()` / `.expect(` / `.unwrap_unchecked(` calls,
 //! `panic!` / `unreachable!` / `todo!` / `unimplemented!` invocations

@@ -182,23 +182,9 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
+/// A quoted JSON string literal.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", hyde_obs::json::escape(s))
 }
 
 #[cfg(test)]
@@ -206,7 +192,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escapes_and_schema() {
+    fn report_json_is_escaped_and_tagged() {
         let mut r = Report {
             files_scanned: 2,
             ..Report::default()

@@ -38,7 +38,7 @@ mod cec;
 mod manager;
 pub mod reorder;
 
-pub use manager::{global_managers_dropped, global_stats, Bdd, BddStats, Ref};
+pub use manager::{Bdd, BddStats, Ref};
 
 #[cfg(test)]
 mod tests {

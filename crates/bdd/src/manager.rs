@@ -18,7 +18,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reference to a BDD node owned by a [`Bdd`] manager.
 ///
@@ -147,70 +146,6 @@ impl BddStats {
             self.unique_probes as f64 / self.unique_lookups as f64
         }
     }
-}
-
-/// Process-global accumulator: every dropped manager flushes its counters
-/// here unconditionally (tracing active or not), so callers can attribute
-/// BDD traffic to a workload whose managers are created and dropped
-/// internally — including the per-worker managers of parallel fan-outs.
-struct GlobalStatCells {
-    managers: AtomicU64,
-    nodes: AtomicU64,
-    unique_lookups: AtomicU64,
-    unique_probes: AtomicU64,
-    unique_hits: AtomicU64,
-    cache_lookups: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_evictions: AtomicU64,
-    unique_growths: AtomicU64,
-    cache_growths: AtomicU64,
-    gc_runs: AtomicU64,
-    gc_reclaimed: AtomicU64,
-}
-
-static GLOBAL_STATS: GlobalStatCells = GlobalStatCells {
-    managers: AtomicU64::new(0),
-    nodes: AtomicU64::new(0),
-    unique_lookups: AtomicU64::new(0),
-    unique_probes: AtomicU64::new(0),
-    unique_hits: AtomicU64::new(0),
-    cache_lookups: AtomicU64::new(0),
-    cache_hits: AtomicU64::new(0),
-    cache_evictions: AtomicU64::new(0),
-    unique_growths: AtomicU64::new(0),
-    cache_growths: AtomicU64::new(0),
-    gc_runs: AtomicU64::new(0),
-    gc_reclaimed: AtomicU64::new(0),
-};
-
-/// Snapshot of the process-global counters accumulated from every manager
-/// dropped so far ([`BddStats::nodes`] is their summed node count).
-///
-/// Counters are monotone, so the way to measure a workload is to delta
-/// two snapshots around it: `hyde-bench` does exactly this per circuit to
-/// report the flow's real operation-cache hit rate. Live (undropped)
-/// managers have not flushed yet and are not included.
-pub fn global_stats() -> BddStats {
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    BddStats {
-        nodes: load(&GLOBAL_STATS.nodes) as usize,
-        unique_lookups: load(&GLOBAL_STATS.unique_lookups),
-        unique_probes: load(&GLOBAL_STATS.unique_probes),
-        unique_hits: load(&GLOBAL_STATS.unique_hits),
-        cache_lookups: load(&GLOBAL_STATS.cache_lookups),
-        cache_hits: load(&GLOBAL_STATS.cache_hits),
-        cache_evictions: load(&GLOBAL_STATS.cache_evictions),
-        unique_growths: load(&GLOBAL_STATS.unique_growths),
-        cache_growths: load(&GLOBAL_STATS.cache_growths),
-        gc_runs: load(&GLOBAL_STATS.gc_runs),
-        gc_reclaimed: load(&GLOBAL_STATS.gc_reclaimed),
-    }
-}
-
-/// Number of managers dropped (and therefore flushed into
-/// [`global_stats`]) so far, process-wide.
-pub fn global_managers_dropped() -> u64 {
-    GLOBAL_STATS.managers.load(Ordering::Relaxed)
 }
 
 /// Default unique-table bucket count for [`Bdd::new`] (power of two).
@@ -1257,32 +1192,15 @@ impl Bdd {
 }
 
 impl Drop for Bdd {
-    /// Flushes the manager's traffic counters into the process-global
-    /// accumulator ([`global_stats`]) unconditionally, and additionally
-    /// into the hyde-obs registry when tracing is active, so an
-    /// `ObsReport` aggregates BDD work across every manager the run
-    /// constructed (including the per-worker managers inside parallel
-    /// fan-outs).
+    /// Flushes the manager's traffic counters into the hyde-obs registry
+    /// when tracing is active, so an `ObsReport` aggregates BDD work
+    /// across every manager the run constructed (including the
+    /// per-worker managers inside parallel fan-outs).
     fn drop(&mut self) {
-        let s = self.stats();
-        let add = |c: &AtomicU64, v: u64| {
-            c.fetch_add(v, Ordering::Relaxed);
-        };
-        add(&GLOBAL_STATS.managers, 1);
-        add(&GLOBAL_STATS.nodes, s.nodes as u64);
-        add(&GLOBAL_STATS.unique_lookups, s.unique_lookups);
-        add(&GLOBAL_STATS.unique_probes, s.unique_probes);
-        add(&GLOBAL_STATS.unique_hits, s.unique_hits);
-        add(&GLOBAL_STATS.cache_lookups, s.cache_lookups);
-        add(&GLOBAL_STATS.cache_hits, s.cache_hits);
-        add(&GLOBAL_STATS.cache_evictions, s.cache_evictions);
-        add(&GLOBAL_STATS.unique_growths, s.unique_growths);
-        add(&GLOBAL_STATS.cache_growths, s.cache_growths);
-        add(&GLOBAL_STATS.gc_runs, s.gc_runs);
-        add(&GLOBAL_STATS.gc_reclaimed, s.gc_reclaimed);
         if !hyde_obs::enabled() {
             return;
         }
+        let s = self.stats();
         hyde_obs::counter("bdd.managers", 1);
         hyde_obs::counter("bdd.nodes", s.nodes as u64);
         hyde_obs::counter("bdd.unique_lookups", s.unique_lookups);
@@ -1301,29 +1219,6 @@ impl Drop for Bdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dropped_managers_flush_into_global_stats() {
-        // Monotonic deltas only: other tests in the process drop managers
-        // too, so assert growth, not exact values.
-        let before = global_stats();
-        let managers_before = global_managers_dropped();
-        let mut bdd = Bdd::new(4);
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let x = bdd.and(a, b);
-        let _ = bdd.or(x, a);
-        let _ = bdd.and(a, b); // cache hit on the repeated op
-        let live = bdd.stats();
-        assert!(live.cache_lookups > 0 && live.cache_hits > 0);
-        drop(bdd);
-        let after = global_stats();
-        assert!(global_managers_dropped() > managers_before);
-        assert!(after.nodes > before.nodes);
-        assert!(after.unique_probes > before.unique_probes);
-        assert!(after.cache_lookups >= before.cache_lookups + live.cache_lookups);
-        assert!(after.cache_hits >= before.cache_hits + live.cache_hits);
-    }
 
     #[test]
     fn terminals() {

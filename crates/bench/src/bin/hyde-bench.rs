@@ -1,22 +1,17 @@
 //! `hyde-bench`: end-to-end runtime benchmark with JSON trajectory output.
 //!
 //! Times the HYDE flow over the bundled circuit suite and writes
-//! `BENCH_<name>.json` (per-circuit wall time, LUT count, BDD kernel
-//! footprint, thread count). `--baseline` embeds an earlier run and
-//! records the end-to-end speedup over it, so perf PRs carry their own
-//! evidence. `--trace <path>` (or `HYDE_TRACE=<path>`) additionally
-//! collects spans for the whole run, embeds the per-phase breakdown in
-//! the JSON (`"obs"` section), and writes Chrome-trace + folded-stack
-//! artifacts.
+//! `BENCH_<name>.json` (per-circuit wall time, LUT count, depth, thread
+//! count). `cargo xtask perf-diff` compares two such documents and is
+//! the wall-clock gate. `--trace <path>` (or `HYDE_TRACE=<path>`)
+//! additionally collects spans for the whole run, embeds the per-phase
+//! breakdown in the JSON (`"obs"` section), and writes Chrome-trace +
+//! folded-stack artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hyde_bench::diff::{MAX_RATIO, SLACK_MS};
-use hyde_bench::perf::{
-    chaos_to_json, circuit_wall_ms, run_bench_budgeted, run_bench_observed_budgeted, run_chaos,
-    to_json, totals_wall_ms, validate_json, ChaosStatus,
-};
+use hyde_bench::perf::{chaos_to_json, run_bench, run_chaos, to_json, validate_json, ChaosStatus};
 use hyde_guard::Budget;
 use hyde_logic::diag::{Code, Diagnostic};
 use std::process::ExitCode;
@@ -30,14 +25,11 @@ Options:
   --name <NAME>      run label; default output path is BENCH_<NAME>.json
                      (default: hot_path)
   --out <FILE>       explicit output path
-  --smoke            3-circuit subset (rd73, misex1, z4ml) instead of all 25;
-                     also gates per-circuit wall time against the committed
-                     BENCH_smoke.json baseline when present (fails >1.3x + 2ms)
+  --smoke            3-circuit subset (rd73, misex1, z4ml) instead of all 25
+                     (`cargo xtask perf-diff` gates it against the committed
+                     BENCH_smoke.json)
   --circuits <LIST>  comma-separated circuit names to run (overrides --smoke)
   --k <K>            LUT size (default 5)
-  --baseline <FILE>  embed FILE (an earlier hyde-bench JSON) as the baseline
-                     and record the end-to-end speedup over it; exits 2 if
-                     FILE is missing or not a known benchmark schema
   --chaos <SEED>     chaos drill: arm the deterministic fault-injection
                      layer (budget exhaustions, BDD allocation failures,
                      per-circuit panics) on SEED, isolate every circuit,
@@ -45,7 +37,6 @@ Options:
   --budget-ms <MS>          wall-clock deadline for the whole run
   --budget-bdd-nodes <N>    cap live BDD nodes per manager
   --budget-candidates <N>   cap bound-set candidates per decomposition step
-  --budget-sat-conflicts <N> cap SAT conflicts per solve
                      (exhausting any budget degrades down the hyde-map
                      fallback ladder instead of failing; the events are
                      counted via hyde-obs and, under --chaos, recorded in
@@ -53,9 +44,6 @@ Options:
   --trace <FILE>     collect spans: embed the obs breakdown in the JSON and
                      write a Chrome trace to FILE plus a .folded flamegraph
                      next to it (HYDE_TRACE=<FILE> is equivalent)
-  --serve-metrics <ADDR>  serve a Prometheus scrape endpoint (GET /metrics)
-                     and a /healthz snapshot on ADDR (e.g. 127.0.0.1:9184)
-                     for the duration of the run; implies span collection
   --stdout           print the JSON to stdout instead of writing a file
   -h, --help         this message";
 
@@ -68,11 +56,9 @@ struct Options {
     smoke: bool,
     circuits: Option<Vec<String>>,
     k: usize,
-    baseline: Option<String>,
     chaos: Option<u64>,
     budget: Budget,
     trace: Option<String>,
-    serve_metrics: Option<String>,
     stdout: bool,
 }
 
@@ -83,11 +69,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         smoke: false,
         circuits: None,
         k: 5,
-        baseline: None,
         chaos: None,
         budget: Budget::unlimited(),
         trace: None,
-        serve_metrics: None,
         stdout: false,
     };
     fn num<T: std::str::FromStr>(
@@ -115,9 +99,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 let v = it.next().ok_or("--k needs a value")?;
                 opts.k = v.parse().map_err(|_| format!("bad --k value '{v}'"))?;
             }
-            "--baseline" => {
-                opts.baseline = Some(it.next().ok_or("--baseline needs a file")?.clone());
-            }
             "--chaos" => {
                 let v = it.next().ok_or("--chaos needs a seed")?;
                 opts.chaos = Some(v.parse().map_err(|_| format!("bad --chaos seed '{v}'"))?);
@@ -138,71 +119,14 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     .budget
                     .with_candidates(num(&mut it, "--budget-candidates")?);
             }
-            "--budget-sat-conflicts" => {
-                opts.budget = opts
-                    .budget
-                    .with_sat_conflicts(num(&mut it, "--budget-sat-conflicts")?);
-            }
             "--trace" => {
                 opts.trace = Some(it.next().ok_or("--trace needs a file")?.clone());
-            }
-            "--serve-metrics" => {
-                opts.serve_metrics =
-                    Some(it.next().ok_or("--serve-metrics needs an address")?.clone());
             }
             "--stdout" => opts.stdout = true,
             other => return Err(format!("unknown option '{other}' (try --help)")),
         }
     }
     Ok(Some(opts))
-}
-
-/// Hard overhead gate for `--smoke`: every smoke circuit's wall time is
-/// compared against the committed `BENCH_smoke.json`, and any circuit
-/// more than 1.3× slower fails the run. Sub-millisecond circuits sit
-/// below timer and scheduler jitter, so a pure ratio would flake on
-/// noise alone; a 2ms absolute slack on top of the ratio keeps the gate
-/// quiet there while still catching the regression class this guards
-/// against: tracing or caching overhead leaking into the untraced hot
-/// path.
-///
-/// Returns `false` — failing the run — when a circuit exceeds the
-/// margin. A missing or incomplete baseline only warns: regenerating
-/// `BENCH_smoke.json` must not require passing the gate it feeds.
-fn smoke_overhead_check(run: &hyde_bench::perf::BenchRun) -> bool {
-    let Ok(baseline) = std::fs::read_to_string("BENCH_smoke.json") else {
-        eprintln!("hyde-bench: no BENCH_smoke.json baseline; skipping overhead gate");
-        return true;
-    };
-    let mut ok = true;
-    for s in &run.samples {
-        match circuit_wall_ms(&baseline, &s.name) {
-            Some(base) if base > 0.0 => {
-                let ratio = s.wall_ms / base;
-                eprintln!(
-                    "hyde-bench: smoke gate: {:<8} {:>7.1}ms vs baseline {:.1}ms ({ratio:.2}x)",
-                    s.name, s.wall_ms, base
-                );
-                if s.wall_ms > base * MAX_RATIO + SLACK_MS {
-                    eprintln!(
-                        "hyde-bench: FAIL: '{}' is {:.0}% slower than the committed \
-                         BENCH_smoke.json (hard gate at {MAX_RATIO}x + {SLACK_MS}ms; \
-                         see DESIGN.md \"Observability\" for methodology)",
-                        s.name,
-                        (ratio - 1.0) * 100.0
-                    );
-                    ok = false;
-                }
-            }
-            _ => {
-                eprintln!(
-                    "hyde-bench: circuit '{}' missing from baseline; skipping it",
-                    s.name
-                );
-            }
-        }
-    }
-    ok
 }
 
 /// The `--chaos` drill: arm deterministic fault injection, run every
@@ -299,58 +223,18 @@ fn main() -> ExitCode {
             .collect(),
         (None, false) => all,
     };
-    let baseline = match &opts.baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(s) => {
-                if let Err(e) = validate_json(&s) {
-                    eprintln!("error: baseline '{path}' is not a recognized benchmark JSON: {e}");
-                    return ExitCode::from(2);
-                }
-                Some(s)
-            }
-            Err(e) => {
-                eprintln!("error: cannot read baseline '{path}': {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
     if let Some(seed) = opts.chaos {
         return run_chaos_mode(&opts, &selected, seed);
     }
-    // Bind the scrape endpoint before the run so Prometheus (or curl)
-    // can watch the suite live; it keeps serving the retained data until
-    // the process exits.
-    let metrics_server = match &opts.serve_metrics {
-        Some(addr) => match hyde_obs::serve::MetricsServer::bind(addr.as_str()) {
-            Ok(server) => {
-                eprintln!(
-                    "hyde-bench: serving /metrics and /healthz on http://{}",
-                    server.local_addr()
-                );
-                Some(server)
-            }
-            Err(e) => {
-                eprintln!("error: cannot bind metrics endpoint '{addr}': {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let observed = trace_path.is_some() || metrics_server.is_some();
+    let traced = trace_path.is_some();
     eprintln!(
         "hyde-bench: {} circuit(s), k={}, run '{}'{}",
         selected.len(),
         opts.k,
         opts.name,
-        if observed { " [traced]" } else { "" }
+        if traced { " [traced]" } else { "" }
     );
-    let result = if observed {
-        run_bench_observed_budgeted(&opts.name, &selected, opts.k, opts.budget)
-    } else {
-        run_bench_budgeted(&opts.name, &selected, opts.k, opts.budget)
-    };
-    let run = match result {
+    let run = match run_bench(&opts.name, &selected, opts.k, opts.budget, traced) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("error: benchmark flow failed: {e}");
@@ -359,11 +243,11 @@ fn main() -> ExitCode {
     };
     for s in &run.samples {
         eprintln!(
-            "  {:<10} {:>9.1}ms  luts={:<4} bdd_nodes={}",
-            s.name, s.wall_ms, s.luts, s.bdd_nodes
+            "  {:<10} {:>9.1}ms  luts={:<4} depth={}",
+            s.name, s.wall_ms, s.luts, s.depth
         );
     }
-    let json = to_json(&run, baseline.as_deref());
+    let json = to_json(&run);
     if let Err(e) = validate_json(&json) {
         eprintln!("error: emitted JSON failed validation: {e}");
         return ExitCode::FAILURE;
@@ -374,19 +258,7 @@ fn main() -> ExitCode {
         run.samples.len(),
         run.threads
     );
-    if let Some(base) = baseline.as_deref() {
-        if let Some(base_ms) = totals_wall_ms(base) {
-            eprintln!(
-                "hyde-bench: baseline {:.1}ms -> speedup {:.2}x",
-                base_ms,
-                base_ms / run.total_wall_ms()
-            );
-        }
-    }
-    if opts.smoke && opts.circuits.is_none() && !smoke_overhead_check(&run) {
-        return ExitCode::FAILURE;
-    }
-    if observed {
+    if traced {
         let dropped = hyde_obs::dropped();
         if dropped > 0 {
             eprintln!(

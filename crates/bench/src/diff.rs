@@ -2,12 +2,14 @@
 //! (`cargo xtask perf-diff`) and the append-only benchmark trajectory
 //! (`BENCH_TRAJECTORY.jsonl`, written by `cargo xtask bench --record`).
 //!
-//! [`diff`] accepts any pair of `BENCH_*.json` documents (schema v1/v2/
-//! v3) or Chrome `TRACE_*.json` exports and compares them on two axes:
+//! [`diff`] accepts any pair of `BENCH_*.json` documents or Chrome
+//! `TRACE_*.json` exports and compares them on two axes, reading
+//! circuits and phases by key, so any schema generation that has them
+//! compares:
 //!
-//! * **per-circuit wall clock** — the gating axis. A circuit regresses
-//!   when `new > old * MAX_RATIO + SLACK_MS`, the same threshold the
-//!   smoke-run overhead guard applies, so one number governs both gates.
+//! * **per-circuit wall clock** — the gating axis, and the repo's only
+//!   wall-clock gate. A circuit regresses when
+//!   `new > old * MAX_RATIO + SLACK_MS`.
 //! * **per-phase self time** — the attribution axis. For every span name
 //!   present in both runs' obs sections (or replayed from the trace
 //!   events), the self-time ratio is computed; when a circuit regresses,
@@ -23,8 +25,7 @@
 use hyde_obs::json::{self, Json};
 use std::fmt::Write as _;
 
-/// Regression threshold shared with the smoke-run overhead guard: a
-/// circuit may not get more than 30% slower...
+/// Regression threshold: a circuit may not get more than 30% slower...
 pub const MAX_RATIO: f64 = 1.3;
 /// ...plus a small absolute slack so micro-circuits (sub-millisecond
 /// walls) do not trip the gate on scheduler noise.
@@ -260,7 +261,7 @@ pub fn diff(old_json: &str, new_json: &str) -> Result<PerfDiff, String> {
     }
     phases.sort_by(|a, b| b.new_self_us.cmp(&a.new_self_us).then(a.name.cmp(&b.name)));
 
-    // The gate: per-circuit wall clock against the smoke threshold, with
+    // The gate: per-circuit wall clock against the threshold, with
     // the fastest-growing phases named as suspects.
     let mut suspects: Vec<&PhaseDelta> = phases.iter().filter(|p| p.is_suspect()).collect();
     suspects.sort_by(|a, b| {

@@ -1,35 +1,29 @@
 //! End-to-end performance measurement with JSON output (`hyde-bench`).
 //!
 //! Unlike the table binaries (which reproduce the paper's numbers), this
-//! module measures *runtime*: per-circuit wall time of the HYDE flow, LUT
-//! counts, and the BDD kernel footprint (allocated nodes, unique-table
-//! probes, operation-cache hit rate). Results serialize to a
-//! `BENCH_<name>.json` trajectory file so successive PRs can prove their
-//! speedups against a recorded baseline on the same machine.
+//! module measures *runtime*: per-circuit wall time of the HYDE flow,
+//! with the LUT count and depth of each mapped network. Every column is
+//! measured on the mapping flow itself. Results serialize to a
+//! `BENCH_<name>.json` document that `cargo xtask perf-diff` compares
+//! against a recorded run.
 //!
 //! The JSON is hand-rolled (the build is offline, no serde); the schema is
-//! deliberately flat and versioned by the `schema` field.
+//! deliberately flat and versioned by the `schema` field. Every reader
+//! parses it with [`hyde_obs::json::parse`].
 
 use hyde_circuits::Circuit;
 use hyde_core::CoreError;
 use hyde_guard::RetryPolicy;
 use hyde_map::flow::FlowKind;
 use hyde_map::session::{BudgetSpec, Job, JobErrorKind, Session};
+use hyde_obs::json::{self, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Schema tag written into every benchmark JSON. v3 added percentile
-/// fields (`p50_us`/`p95_us`/`p99_us`) and the `"hists"` families inside
-/// the `"obs"` section — additive keys, so v2 readers still parse it.
-pub const SCHEMA: &str = "hyde-bench-v3";
-
-/// v2 schema tag (added the optional `"obs"` section), still accepted on
-/// *read* (`--baseline` files and perf-diff inputs).
-pub const SCHEMA_V2: &str = "hyde-bench-v2";
-
-/// v1 schema tag, still accepted on *read* (`--baseline` files and
-/// the PR 3 `BENCH_hot_path.json` artifact predate the obs section).
-pub const SCHEMA_V1: &str = "hyde-bench-v1";
+/// Schema tag written into every benchmark JSON. v4 dropped the
+/// `bdd_nodes`, `bdd_cache_hit_rate` and `bdd_unique_probes` columns,
+/// which came from a BDD build the mapping flow never runs.
+pub const SCHEMA: &str = "hyde-bench-v4";
 
 /// Per-circuit measurement.
 #[derive(Debug, Clone)]
@@ -46,18 +40,6 @@ pub struct CircuitSample {
     pub luts: usize,
     /// Logic depth in LUT levels.
     pub depth: usize,
-    /// BDD nodes allocated while building every output of the circuit in
-    /// one shared manager (kernel footprint metric).
-    pub bdd_nodes: usize,
-    /// Operation-cache hit rate across every BDD manager this circuit's
-    /// measurement created and dropped — the mapping flow's managers (when
-    /// budget degradation reaches the BDD rung) plus the kernel build —
-    /// measured by delta-ing [`hyde_bdd::global_stats`] around both.
-    /// `None` only when no cached BDD operations ran at all.
-    pub bdd_cache_hit_rate: Option<f64>,
-    /// Unique-table probes across those same managers (`Some(0)` when no
-    /// unique table was ever touched).
-    pub bdd_unique_probes: Option<u64>,
 }
 
 /// One full benchmark run.
@@ -71,8 +53,8 @@ pub struct BenchRun {
     pub threads: usize,
     /// Per-circuit samples, in suite order.
     pub samples: Vec<CircuitSample>,
-    /// Per-phase observability breakdown, when the run was traced
-    /// (see [`run_bench_observed`]); serialized under `"obs"`.
+    /// Per-phase observability breakdown, when the run was traced;
+    /// serialized under `"obs"`.
     pub obs: Option<hyde_obs::ObsReport>,
 }
 
@@ -86,59 +68,6 @@ impl BenchRun {
     pub fn total_luts(&self) -> usize {
         self.samples.iter().map(|s| s.luts).sum()
     }
-
-    /// Total BDD nodes allocated by the kernel measurement.
-    pub fn total_bdd_nodes(&self) -> usize {
-        self.samples.iter().map(|s| s.bdd_nodes).sum()
-    }
-}
-
-/// Builds every output of `c` in one BDD manager from its ISOP cover —
-/// each cube is an AND of literals, each output an OR of its cubes — and
-/// reports the kernel footprint in allocated nodes.
-///
-/// The symbolic construction matters: the old kernel used `from_fn`,
-/// whose `mk` path never consults the operation cache, so the reported
-/// hit rate was a constant, misleading `0.000`. Driving `and`/`or`/`not`
-/// through the cached apply path produces real cache traffic, and the
-/// manager's stats flush into [`hyde_bdd::global_stats`] when it drops
-/// at the end of this function, landing inside the caller's telemetry
-/// window.
-fn bdd_kernel(c: &Circuit) -> usize {
-    use hyde_logic::{Literal, SopCover};
-    let mut bdd = hyde_bdd::Bdd::with_capacity(c.inputs, 1 << 12);
-    for f in &c.outputs {
-        let mut acc = bdd.zero();
-        for cube in SopCover::isop(f).iter() {
-            let mut term = bdd.one();
-            for var in 0..c.inputs {
-                let lit = match cube.literal(var) {
-                    Literal::DontCare => continue,
-                    Literal::Positive => bdd.var(var),
-                    Literal::Negative => {
-                        let v = bdd.var(var);
-                        bdd.not(v)
-                    }
-                };
-                term = bdd.and(term, lit);
-            }
-            acc = bdd.or(acc, term);
-        }
-    }
-    bdd.len()
-}
-
-/// Telemetry deltas of [`hyde_bdd::global_stats`] across one circuit's
-/// flow: `(cache hit rate, unique probes)`.
-fn flow_bdd_telemetry(
-    before: &hyde_bdd::BddStats,
-    after: &hyde_bdd::BddStats,
-) -> (Option<f64>, Option<u64>) {
-    let lookups = after.cache_lookups.saturating_sub(before.cache_lookups);
-    let hits = after.cache_hits.saturating_sub(before.cache_hits);
-    let probes = after.unique_probes.saturating_sub(before.unique_probes);
-    let rate = (lookups > 0).then(|| hits as f64 / lookups as f64);
-    (rate, Some(probes))
 }
 
 /// Describes a [`hyde_guard::Budget`] as a serializable
@@ -150,7 +79,6 @@ fn budget_spec(budget: &hyde_guard::Budget) -> BudgetSpec {
             .deadline
             .map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64),
         bdd_nodes: budget.bdd_nodes,
-        sat_conflicts: budget.sat_conflicts,
         candidates: budget.candidates,
     }
 }
@@ -163,31 +91,54 @@ fn batch_session(k: usize) -> Session {
     Session::new(k, FlowKind::hyde(0xDA98)).with_retry(RetryPolicy::single_attempt())
 }
 
-/// Runs the HYDE flow (k-input LUTs) over `circuits`, measuring each.
+/// Runs the HYDE flow (k-input LUTs) over `circuits` under `budget`,
+/// measuring each. Exhausting the budget degrades down the hyde-map
+/// fallback ladder instead of failing the run.
+///
+/// With `traced`, span/counter collection is active for the run: the
+/// returned [`BenchRun`] carries the aggregated [`hyde_obs::ObsReport`]
+/// and the raw events stay in the global collector, so the caller can
+/// also export Chrome-trace/folded artifacts with
+/// [`hyde_obs::write_artifacts`].
 ///
 /// # Errors
 ///
 /// Propagates the first mapping failure. A panicking circuit surfaces as
 /// [`CoreError::Verification`] rather than aborting the process.
-pub fn run_bench(name: &str, circuits: &[Circuit], k: usize) -> Result<BenchRun, CoreError> {
-    run_bench_budgeted(name, circuits, k, hyde_guard::Budget::unlimited())
-}
-
-/// Like [`run_bench`], but with a resource [`hyde_guard::Budget`] on the
-/// flow: exhaustion degrades down the hyde-map fallback ladder (recorded
-/// as `DegradationEvent`s) instead of failing the run.
-pub fn run_bench_budgeted(
+pub fn run_bench(
     name: &str,
     circuits: &[Circuit],
     k: usize,
     budget: hyde_guard::Budget,
+    traced: bool,
 ) -> Result<BenchRun, CoreError> {
+    if traced {
+        hyde_obs::reset();
+        hyde_obs::enable();
+    }
+    let samples = measure(circuits, k, &budget);
+    if traced {
+        hyde_obs::disable();
+    }
+    Ok(BenchRun {
+        name: name.to_owned(),
+        k,
+        threads: hyde_core::parallel::thread_count(),
+        samples: samples?,
+        obs: traced.then(hyde_obs::report),
+    })
+}
+
+fn measure(
+    circuits: &[Circuit],
+    k: usize,
+    budget: &hyde_guard::Budget,
+) -> Result<Vec<CircuitSample>, CoreError> {
     let session = batch_session(k);
-    let spec = budget_spec(&budget);
+    let spec = budget_spec(budget);
     let mut samples = Vec::with_capacity(circuits.len());
     for c in circuits {
         let _obs = hyde_obs::span!("bench.circuit");
-        let stats_before = hyde_bdd::global_stats();
         let start = Instant::now();
         let job = Job::new(&c.name, c.outputs.clone()).with_budget(spec);
         let report = match session.run(&job) {
@@ -204,10 +155,6 @@ pub fn run_bench_budgeted(
         };
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         hyde_obs::observe("bench.circuit_wall_us", (wall_ms * 1e3) as u64);
-        let bdd_nodes = bdd_kernel(c);
-        let stats_after = hyde_bdd::global_stats();
-        let (bdd_cache_hit_rate, bdd_unique_probes) =
-            flow_bdd_telemetry(&stats_before, &stats_after);
         samples.push(CircuitSample {
             name: c.name.clone(),
             inputs: c.inputs,
@@ -215,56 +162,9 @@ pub fn run_bench_budgeted(
             wall_ms,
             luts: report.luts,
             depth: report.depth,
-            bdd_nodes,
-            bdd_cache_hit_rate,
-            bdd_unique_probes,
         });
     }
-    Ok(BenchRun {
-        name: name.to_owned(),
-        k,
-        threads: hyde_core::parallel::thread_count(),
-        samples,
-        obs: None,
-    })
-}
-
-/// Like [`run_bench`], but with span/counter collection active for the
-/// duration of the run: the returned [`BenchRun`] carries the aggregated
-/// [`hyde_obs::ObsReport`] and the raw events stay in the global
-/// collector, so the caller can also export Chrome-trace/folded
-/// artifacts with [`hyde_obs::write_artifacts`].
-///
-/// # Errors
-///
-/// Propagates the first mapping failure.
-pub fn run_bench_observed(
-    name: &str,
-    circuits: &[Circuit],
-    k: usize,
-) -> Result<BenchRun, CoreError> {
-    run_bench_observed_budgeted(name, circuits, k, hyde_guard::Budget::unlimited())
-}
-
-/// [`run_bench_observed`] with a resource [`hyde_guard::Budget`] on the
-/// flow (see [`run_bench_budgeted`]).
-///
-/// # Errors
-///
-/// Propagates the first mapping failure.
-pub fn run_bench_observed_budgeted(
-    name: &str,
-    circuits: &[Circuit],
-    k: usize,
-    budget: hyde_guard::Budget,
-) -> Result<BenchRun, CoreError> {
-    hyde_obs::reset();
-    hyde_obs::enable();
-    let result = run_bench_budgeted(name, circuits, k, budget);
-    hyde_obs::disable();
-    let mut run = result?;
-    run.obs = Some(hyde_obs::report());
-    Ok(run)
+    Ok(samples)
 }
 
 fn push_f64(out: &mut String, v: f64) {
@@ -275,14 +175,12 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Serializes a run to the benchmark JSON schema. When `baseline` is given
-/// (the verbatim JSON object of an earlier run), it is embedded under
-/// `"baseline"` and the end-to-end speedup over it is recorded.
-pub fn to_json(run: &BenchRun, baseline: Option<&str>) -> String {
+/// Serializes a run to the benchmark JSON schema ([`SCHEMA`]).
+pub fn to_json(run: &BenchRun) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(s, "  \"name\": \"{}\",", run.name);
+    let _ = writeln!(s, "  \"name\": \"{}\",", json::escape(&run.name));
     let _ = writeln!(s, "  \"k\": {},", run.k);
     let _ = writeln!(s, "  \"threads\": {},", run.threads);
     s.push_str("  \"circuits\": [\n");
@@ -290,26 +188,12 @@ pub fn to_json(run: &BenchRun, baseline: Option<&str>) -> String {
         let _ = write!(
             s,
             "    {{\"name\": \"{}\", \"inputs\": {}, \"outputs\": {}, \"wall_ms\": ",
-            c.name, c.inputs, c.outputs
+            json::escape(&c.name),
+            c.inputs,
+            c.outputs
         );
         push_f64(&mut s, c.wall_ms);
-        let _ = write!(
-            s,
-            ", \"luts\": {}, \"depth\": {}, \"bdd_nodes\": {}, \"bdd_cache_hit_rate\": ",
-            c.luts, c.depth, c.bdd_nodes
-        );
-        match c.bdd_cache_hit_rate {
-            Some(r) => push_f64(&mut s, r),
-            None => s.push_str("null"),
-        }
-        s.push_str(", \"bdd_unique_probes\": ");
-        match c.bdd_unique_probes {
-            Some(p) => {
-                let _ = write!(s, "{p}");
-            }
-            None => s.push_str("null"),
-        }
-        s.push('}');
+        let _ = write!(s, ", \"luts\": {}, \"depth\": {}}}", c.luts, c.depth);
         if i + 1 < run.samples.len() {
             s.push(',');
         }
@@ -318,85 +202,49 @@ pub fn to_json(run: &BenchRun, baseline: Option<&str>) -> String {
     s.push_str("  ],\n");
     s.push_str("  \"totals\": {\"wall_ms\": ");
     push_f64(&mut s, run.total_wall_ms());
-    let _ = write!(
-        s,
-        ", \"luts\": {}, \"bdd_nodes\": {}}}",
-        run.total_luts(),
-        run.total_bdd_nodes()
-    );
+    let _ = write!(s, ", \"luts\": {}}}", run.total_luts());
     if let Some(obs) = &run.obs {
         s.push_str(",\n  \"obs\": ");
         s.push_str(obs.to_json("  ").trim_start());
-    }
-    if let Some(base) = baseline {
-        s.push_str(",\n  \"baseline\": ");
-        // Re-indent the embedded object for readability.
-        let trimmed = base.trim();
-        s.push_str(&trimmed.replace('\n', "\n  "));
-        if let Some(base_ms) = totals_wall_ms(trimmed) {
-            s.push_str(",\n  \"speedup\": ");
-            push_f64(&mut s, base_ms / run.total_wall_ms());
-        }
     }
     s.push_str("\n}\n");
     s
 }
 
-/// Extracts one circuit's `wall_ms` from a benchmark JSON document by
-/// scanning for its `"name"` entry inside the `"circuits"` array. Used by
-/// the smoke-run overhead guard to compare against the corresponding
-/// circuits of a full-suite baseline.
-pub fn circuit_wall_ms(json: &str, circuit: &str) -> Option<f64> {
-    let arr = json.find("\"circuits\"")?;
-    let needle = format!("\"name\": \"{circuit}\"");
-    let at = json[arr..].find(&needle)? + arr;
-    let rest = &json[at..];
-    let key = rest.find("\"wall_ms\"")?;
-    let after = rest[key + "\"wall_ms\"".len()..].trim_start();
-    let after = after.strip_prefix(':')?.trim_start();
-    let end = after
-        .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-' || ch == 'e' || ch == '+'))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
+/// Parses `text` and checks that its `schema` tag is `tag`.
+fn parse_tagged(text: &str, tag: &str) -> Result<Json, String> {
+    let doc = json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(t) if t == tag => Ok(doc),
+        Some(t) => Err(format!("schema tag \"{t}\" is not {tag}")),
+        None => Err(format!("missing schema tag {tag}")),
+    }
 }
 
-/// Extracts `totals.wall_ms` from a benchmark JSON document — the one
-/// number the speedup computation needs. Minimal scan, not a full JSON
-/// parser: finds the `"totals"` object and reads its `"wall_ms"` value.
-pub fn totals_wall_ms(json: &str) -> Option<f64> {
-    let totals = json.find("\"totals\"")?;
-    let rest = &json[totals..];
-    let key = rest.find("\"wall_ms\"")?;
-    let after = rest[key + "\"wall_ms\"".len()..].trim_start();
-    let after = after.strip_prefix(':')?.trim_start();
-    let end = after
-        .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-' || ch == 'e' || ch == '+'))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
-}
-
-/// Structural sanity check used by `cargo xtask bench`: the document must
-/// carry the current schema tag, a circuits array with at least one entry,
-/// and a parsable `totals.wall_ms`.
-pub fn validate_json(json: &str) -> Result<(), String> {
-    if !json.contains(&format!("\"schema\": \"{SCHEMA}\""))
-        && !json.contains(&format!("\"schema\": \"{SCHEMA_V2}\""))
-        && !json.contains(&format!("\"schema\": \"{SCHEMA_V1}\""))
+/// Structural check used by `cargo xtask bench`: the document must parse,
+/// carry the current schema tag, give every circuit a name and a wall
+/// time, and have a non-negative `totals.wall_ms`.
+pub fn validate_json(text: &str) -> Result<(), String> {
+    let doc = parse_tagged(text, SCHEMA)?;
+    let circuits = doc
+        .get("circuits")
+        .and_then(Json::as_arr)
+        .ok_or("missing circuits array")?;
+    for c in circuits {
+        if c.get("name").and_then(Json::as_str).is_none()
+            || c.get("wall_ms").and_then(Json::as_num).is_none()
+        {
+            return Err("circuit entry without a name or wall_ms".into());
+        }
+    }
+    match doc
+        .get("totals")
+        .and_then(|t| t.get("wall_ms"))
+        .and_then(Json::as_num)
     {
-        return Err(format!(
-            "missing schema tag {SCHEMA} (or {SCHEMA_V2}/{SCHEMA_V1})"
-        ));
-    }
-    if !json.contains("\"circuits\": [") {
-        return Err("missing circuits array".into());
-    }
-    if !json.contains("\"wall_ms\"") {
-        return Err("missing wall_ms fields".into());
-    }
-    match totals_wall_ms(json) {
         Some(ms) if ms >= 0.0 => Ok(()),
         Some(ms) => Err(format!("negative total wall_ms {ms}")),
-        None => Err("totals.wall_ms not parsable".into()),
+        None => Err("totals.wall_ms not a number".into()),
     }
 }
 
@@ -509,36 +357,18 @@ pub fn run_chaos(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut o = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\t' => o.push_str("\\t"),
-            '\r' => o.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(o, "\\u{:04x}", c as u32);
-            }
-            c => o.push(c),
-        }
-    }
-    o
-}
-
 /// Serializes a chaos drill to `CHAOS_<name>.json` (schema
 /// [`CHAOS_SCHEMA`]).
 pub fn chaos_to_json(run: &ChaosRun) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"{CHAOS_SCHEMA}\",");
-    let _ = writeln!(s, "  \"name\": \"{}\",", json_escape(&run.name));
+    let _ = writeln!(s, "  \"name\": \"{}\",", json::escape(&run.name));
     let _ = writeln!(s, "  \"seed\": {},", run.seed);
     let _ = writeln!(s, "  \"k\": {},", run.k);
     s.push_str("  \"circuits\": [\n");
     for (i, c) in run.samples.iter().enumerate() {
-        let _ = write!(s, "    {{\"name\": \"{}\", ", json_escape(&c.name));
+        let _ = write!(s, "    {{\"name\": \"{}\", ", json::escape(&c.name));
         match &c.status {
             ChaosStatus::Ok { luts } => {
                 let _ = write!(s, "\"status\": \"ok\", \"luts\": {luts}");
@@ -547,14 +377,14 @@ pub fn chaos_to_json(run: &ChaosRun) -> String {
                 let _ = write!(
                     s,
                     "\"status\": \"failed\", \"error\": \"{}\"",
-                    json_escape(error)
+                    json::escape(error)
                 );
             }
             ChaosStatus::Panicked { message } => {
                 let _ = write!(
                     s,
                     "\"status\": \"panicked\", \"error\": \"{}\"",
-                    json_escape(message)
+                    json::escape(message)
                 );
             }
         }
@@ -565,7 +395,7 @@ pub fn chaos_to_json(run: &ChaosRun) -> String {
                 "{}{{\"stage\": \"{}\", \"from\": \"{}\", \"to\": \"{}\", \
                  \"resource\": \"{}\", \"injected\": {}}}",
                 if j > 0 { ", " } else { "" },
-                json_escape(&e.stage),
+                json::escape(&e.stage),
                 e.from,
                 e.to,
                 e.resource,
@@ -604,34 +434,30 @@ pub fn chaos_to_json(run: &ChaosRun) -> String {
     s
 }
 
-/// Structural sanity check used by `cargo xtask chaos`: the document must
-/// carry the chaos schema tag, a circuits array, and a totals object
-/// reporting zero hard failures (a `failed` circuit means a rung of the
-/// fallback ladder broke, which the drill treats as a defect).
-pub fn validate_chaos_json(json: &str) -> Result<(), String> {
-    if !json.contains(&format!("\"schema\": \"{CHAOS_SCHEMA}\"")) {
-        return Err(format!("missing schema tag {CHAOS_SCHEMA}"));
-    }
-    if !json.contains("\"circuits\": [") {
+/// Structural check used by `cargo xtask chaos`: the document must
+/// parse, carry the chaos schema tag and a circuits array, and report
+/// zero hard failures in its totals (a `failed` circuit means a rung of
+/// the fallback ladder broke, which the drill treats as a defect).
+pub fn validate_chaos_json(text: &str) -> Result<(), String> {
+    let doc = parse_tagged(text, CHAOS_SCHEMA)?;
+    if doc.get("circuits").and_then(Json::as_arr).is_none() {
         return Err("missing circuits array".into());
     }
-    let Some(pos) = json.find("\"failed\":") else {
-        return Err("missing totals.failed".into());
-    };
-    let after = json[pos + "\"failed\":".len()..].trim_start();
-    let end = after
-        .find(|ch: char| !ch.is_ascii_digit())
-        .unwrap_or(after.len());
-    match after[..end].parse::<usize>() {
-        Ok(0) => Ok(()),
-        Ok(n) => Err(format!("{n} circuit(s) failed with typed errors")),
-        Err(_) => Err("totals.failed not parsable".into()),
+    match doc
+        .get("totals")
+        .and_then(|t| t.get("failed"))
+        .and_then(Json::as_num)
+    {
+        Some(0.0) => Ok(()),
+        Some(n) => Err(format!("{n} circuit(s) failed with typed errors")),
+        None => Err("totals.failed not a number".into()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyde_guard::Budget;
 
     fn sample_run() -> BenchRun {
         BenchRun {
@@ -647,9 +473,6 @@ mod tests {
                     wall_ms: 12.5,
                     luts: 3,
                     depth: 2,
-                    bdd_nodes: 17,
-                    bdd_cache_hit_rate: Some(0.5),
-                    bdd_unique_probes: Some(99),
                 },
                 CircuitSample {
                     name: "b".into(),
@@ -658,9 +481,6 @@ mod tests {
                     wall_ms: 7.5,
                     luts: 2,
                     depth: 1,
-                    bdd_nodes: 9,
-                    bdd_cache_hit_rate: None,
-                    bdd_unique_probes: None,
                 },
             ],
         }
@@ -668,61 +488,71 @@ mod tests {
 
     #[test]
     fn json_round_trips_totals() {
-        let run = sample_run();
-        let json = to_json(&run, None);
-        assert!(validate_json(&json).is_ok());
-        let ms = totals_wall_ms(&json).unwrap();
+        let json = to_json(&sample_run());
+        validate_json(&json).unwrap();
+        let doc = json::parse(&json).unwrap();
+        let totals = doc.get("totals").unwrap();
+        let ms = totals.get("wall_ms").and_then(Json::as_num).unwrap();
         assert!((ms - 20.0).abs() < 1e-6);
-        assert!(json.contains("\"bdd_cache_hit_rate\": null"));
-        assert!(json.contains("\"bdd_cache_hit_rate\": 0.500"));
+        assert_eq!(totals.get("luts").and_then(Json::as_num), Some(5.0));
+        assert!(!json.contains("bdd_"), "v4 has no BDD columns:\n{json}");
     }
 
     #[test]
-    fn baseline_embeds_and_computes_speedup() {
-        let run = sample_run();
-        let mut slow = sample_run();
-        for s in &mut slow.samples {
-            s.wall_ms *= 3.0;
-        }
-        let base_json = to_json(&slow, None);
-        let json = to_json(&run, Some(&base_json));
-        assert!(validate_json(&json).is_ok());
-        assert!(json.contains("\"baseline\":"));
-        assert!(json.contains("\"speedup\": 3.000"));
-        // totals_wall_ms must read the *run's* totals (which precede the
-        // embedded baseline object), not the baseline's.
-        assert!((totals_wall_ms(&json).unwrap() - 20.0).abs() < 1e-6);
+    fn names_with_quotes_and_backslashes_stay_valid_json() {
+        let mut run = sample_run();
+        run.name = r#"we"ird\name"#.into();
+        run.samples[0].name = "tab\there \"quoted\"".into();
+        let json = to_json(&run);
+        let doc = json::parse(&json).expect("escaped document parses");
+        assert_eq!(
+            doc.get("name").and_then(Json::as_str),
+            Some(run.name.as_str())
+        );
+        let first = &doc.get("circuits").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            first.get("name").and_then(Json::as_str),
+            Some(run.samples[0].name.as_str())
+        );
+        validate_json(&json).unwrap();
     }
 
     #[test]
-    fn validate_rejects_garbage() {
+    fn writer_and_perf_diff_reader_agree() {
+        // A smoke circuit well above the 2ms slack, so the ratio decides.
+        let doc_with_misex1_at = |wall_ms: f64| {
+            let mut run = sample_run();
+            run.samples[0].name = "misex1".into();
+            run.samples[0].wall_ms = wall_ms;
+            to_json(&run)
+        };
+        let old = doc_with_misex1_at(100.0);
+        let slower = crate::diff::diff(&old, &doc_with_misex1_at(140.0)).unwrap();
+        assert!(slower.regressed(), "1.4x must fail:\n{}", slower.render());
+        assert!(slower.regressions[0].contains("misex1"));
+        let within = crate::diff::diff(&old, &doc_with_misex1_at(120.0)).unwrap();
+        assert!(!within.regressed(), "1.2x must pass:\n{}", within.render());
+        assert_eq!(within.circuits.len(), 2);
+    }
+
+    #[test]
+    fn validate_rejects_garbage_and_other_tags() {
         assert!(validate_json("{}").is_err());
         assert!(validate_json("not json").is_err());
-    }
-
-    #[test]
-    fn validate_accepts_v1_baselines() {
-        let v1 = to_json(&sample_run(), None).replace(SCHEMA, SCHEMA_V1);
-        assert!(validate_json(&v1).is_ok());
-    }
-
-    #[test]
-    fn circuit_wall_ms_finds_per_circuit_time() {
-        let json = to_json(&sample_run(), None);
-        assert!((circuit_wall_ms(&json, "a").unwrap() - 12.5).abs() < 1e-6);
-        assert!((circuit_wall_ms(&json, "b").unwrap() - 7.5).abs() < 1e-6);
-        assert!(circuit_wall_ms(&json, "zzz").is_none());
+        let v3 = to_json(&sample_run()).replace(SCHEMA, "hyde-bench-v3");
+        assert!(validate_json(&v3).is_err());
+        // An unescaped quote inside a name is not JSON.
+        let broken = to_json(&sample_run()).replace("\"name\": \"a\"", "\"name\": \"a\"b\"");
+        assert!(validate_json(&broken).is_err());
     }
 
     #[test]
     fn obs_section_embeds_and_stays_valid_json() {
         let mut run = sample_run();
         run.obs = Some(hyde_obs::report());
-        let json = to_json(&run, None);
-        assert!(validate_json(&json).is_ok());
-        assert!(json.contains("\"obs\": {"));
-        // The whole document, obs section included, must parse.
-        hyde_obs::json::parse(&json).unwrap();
+        let json = to_json(&run);
+        validate_json(&json).unwrap();
+        assert!(json::parse(&json).unwrap().get("obs").is_some());
     }
 
     #[test]
@@ -740,7 +570,7 @@ mod tests {
                 ChaosSample {
                     name: "b".into(),
                     status: ChaosStatus::Panicked {
-                        message: "chaos: injected panic".into(),
+                        message: "chaos: injected \"panic\"".into(),
                     },
                     degradations: Vec::new(),
                 },
@@ -748,7 +578,6 @@ mod tests {
         };
         let json = chaos_to_json(&run);
         validate_chaos_json(&json).unwrap();
-        hyde_obs::json::parse(&json).unwrap();
 
         let mut failed = run.clone();
         failed.samples[0].status = ChaosStatus::Failed {
@@ -757,74 +586,32 @@ mod tests {
         let err = validate_chaos_json(&chaos_to_json(&failed)).unwrap_err();
         assert!(err.contains("failed"), "{err}");
         assert!(validate_chaos_json("{}").is_err());
+        assert!(validate_chaos_json(&json.replace(CHAOS_SCHEMA, SCHEMA)).is_err());
     }
 
     #[test]
     fn run_bench_smoke() {
         let circuits = vec![hyde_circuits::rd73()];
-        let run = run_bench("smoke", &circuits, 5).unwrap();
+        let run = run_bench("smoke", &circuits, 5, Budget::unlimited(), false).unwrap();
         assert_eq!(run.samples.len(), 1);
         assert!(run.samples[0].wall_ms >= 0.0);
         assert!(run.samples[0].luts > 0);
-        assert!(run.samples[0].bdd_nodes > 2);
-        // The kernel's symbolic ISOP build (and, under degradation, the
-        // flow's own BDD rung) drops its managers inside the telemetry
-        // window, so the deltas must show real cache traffic — this is
-        // the regression test for the old `bdd_cache_hit_rate: 0.000`
-        // bug, where the reported stats came from a from_fn-only build
-        // that never probed the op cache.
-        let probes = run.samples[0].bdd_unique_probes.expect("probes recorded");
-        assert!(probes > 0, "kernel did no unique-table work?");
-        let rate = run.samples[0]
-            .bdd_cache_hit_rate
-            .expect("rd73's kernel build performs cached BDD ops");
-        assert!(rate > 0.0 && rate <= 1.0, "implausible hit rate {rate}");
-        let json = to_json(&run, None);
-        validate_json(&json).unwrap();
+        assert!(run.obs.is_none());
+        validate_json(&to_json(&run)).unwrap();
     }
 
     #[test]
-    fn forced_bdd_rung_flushes_flow_stats_into_telemetry() {
+    fn forced_bdd_rung_reports_bdd_counters_in_obs() {
         // Candidate exhaustion degrades Exact -> BddThreshold (the same
         // forcing trick as hyde-map's ladder tests), so the flow itself
-        // creates and drops BDD managers — their stats must land in the
-        // sample's telemetry window alongside the kernel build's.
+        // creates and drops BDD managers; a traced run sees them as
+        // `bdd.*` counters.
         let circuits = vec![hyde_circuits::rd73()];
-        let dropped_before = hyde_bdd::global_managers_dropped();
-        let budget = hyde_guard::Budget::unlimited().with_candidates(0);
-        let run = run_bench_budgeted("forced", &circuits, 5, budget).unwrap();
-        // At least the kernel's manager plus one flow-rung manager.
-        assert!(
-            hyde_bdd::global_managers_dropped() >= dropped_before + 2,
-            "BDD rung never ran a manager"
-        );
-        let rate = run.samples[0]
-            .bdd_cache_hit_rate
-            .expect("forced BDD rung performs cached ops");
-        assert!(rate > 0.0 && rate <= 1.0, "implausible hit rate {rate}");
-        assert!(run.samples[0].bdd_unique_probes.unwrap() > 0);
-    }
-
-    #[test]
-    fn flow_bdd_telemetry_deltas() {
-        let before = hyde_bdd::BddStats {
-            cache_lookups: 100,
-            cache_hits: 40,
-            unique_probes: 1000,
-            ..Default::default()
-        };
-        let after = hyde_bdd::BddStats {
-            cache_lookups: 300,
-            cache_hits: 140,
-            unique_probes: 1600,
-            ..Default::default()
-        };
-        let (rate, probes) = flow_bdd_telemetry(&before, &after);
-        assert_eq!(rate, Some(0.5));
-        assert_eq!(probes, Some(600));
-        // No traffic at all: rate is unknown, probes are an honest zero.
-        let (rate, probes) = flow_bdd_telemetry(&before, &before);
-        assert_eq!(rate, None);
-        assert_eq!(probes, Some(0));
+        let budget = Budget::unlimited().with_candidates(0);
+        let run = run_bench("forced", &circuits, 5, budget, true).unwrap();
+        let obs = run.obs.expect("traced run carries a report");
+        let managers = obs.counter("bdd.managers").map_or(0, |c| c.sum);
+        assert!(managers > 0, "BDD rung never ran a manager");
+        assert!(obs.counter("bdd.cache_lookups").map_or(0, |c| c.sum) > 0);
     }
 }

@@ -9,7 +9,8 @@
 //! The tests share the global collector and the `HYDE_THREADS` variable,
 //! so they serialize on [`ENV_LOCK`].
 
-use hyde_bench::perf::run_bench_observed;
+use hyde_bench::perf::run_bench;
+use hyde_guard::Budget;
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -19,7 +20,8 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 fn traced_run(threads: usize) -> (String, String, Vec<(String, u64)>) {
     std::env::set_var("HYDE_THREADS", threads.to_string());
     let circuits = vec![hyde_circuits::rd73()];
-    let run = run_bench_observed("trace_test", &circuits, 5).expect("flow maps rd73");
+    let run =
+        run_bench("trace_test", &circuits, 5, Budget::unlimited(), true).expect("flow maps rd73");
     assert_eq!(run.samples.len(), 1);
     let chrome = hyde_obs::chrome_trace();
     let folded = hyde_obs::folded_stacks();
@@ -111,7 +113,8 @@ fn obs_report_embeds_phase_breakdown() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     std::env::set_var("HYDE_THREADS", "1");
     let circuits = vec![hyde_circuits::rd73()];
-    let run = run_bench_observed("trace_test", &circuits, 5).expect("flow maps rd73");
+    let run =
+        run_bench("trace_test", &circuits, 5, Budget::unlimited(), true).expect("flow maps rd73");
     std::env::remove_var("HYDE_THREADS");
     let obs = run.obs.as_ref().expect("observed run carries a report");
     assert!(obs.wall_us > 0);
@@ -120,7 +123,7 @@ fn obs_report_embeds_phase_breakdown() {
     assert!(obs.counter("varpart.candidates").is_some());
     // The serialized form must survive the crate's own JSON parser and
     // appear under "obs" in the bench document.
-    let json = hyde_bench::perf::to_json(&run, None);
+    let json = hyde_bench::perf::to_json(&run);
     hyde_obs::json::parse(&json).expect("bench JSON with obs section parses");
     assert!(json.contains("\"obs\": {"));
 }

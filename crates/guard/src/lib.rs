@@ -43,8 +43,6 @@ pub enum Resource {
     /// The BDD manager hit its unique-table node cap (or a simulated
     /// allocation failure was injected).
     BddNodes,
-    /// The SAT solver exceeded its conflict budget.
-    SatConflicts,
     /// The bound-set candidate search exceeded its candidate cap.
     Candidates,
 }
@@ -55,7 +53,6 @@ impl Resource {
         match self {
             Resource::Deadline => "deadline",
             Resource::BddNodes => "bdd-nodes",
-            Resource::SatConflicts => "sat-conflicts",
             Resource::Candidates => "candidates",
         }
     }
@@ -122,8 +119,6 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Maximum number of live nodes a BDD manager may allocate.
     pub bdd_nodes: Option<usize>,
-    /// Maximum SAT conflicts per solve.
-    pub sat_conflicts: Option<u64>,
     /// Maximum bound-set candidates evaluated per decomposition step.
     pub candidates: Option<usize>,
 }
@@ -140,7 +135,6 @@ impl Budget {
         Budget {
             deadline: None,
             bdd_nodes: Some(1 << 22),
-            sat_conflicts: Some(200_000),
             candidates: Some(1 << 16),
         }
     }
@@ -154,12 +148,6 @@ impl Budget {
     /// Replaces the BDD node cap.
     pub fn with_bdd_nodes(mut self, cap: usize) -> Self {
         self.bdd_nodes = Some(cap);
-        self
-    }
-
-    /// Replaces the SAT conflict cap.
-    pub fn with_sat_conflicts(mut self, cap: u64) -> Self {
-        self.sat_conflicts = Some(cap);
         self
     }
 

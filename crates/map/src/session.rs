@@ -46,8 +46,6 @@ pub struct BudgetSpec {
     pub deadline_ms: Option<u64>,
     /// Cap on live BDD nodes per manager.
     pub bdd_nodes: Option<usize>,
-    /// Cap on SAT conflicts per encoding call.
-    pub sat_conflicts: Option<u64>,
     /// Cap on candidate bound sets examined per output.
     pub candidates: Option<usize>,
 }
@@ -65,7 +63,6 @@ impl BudgetSpec {
         BudgetSpec {
             deadline_ms: None,
             bdd_nodes: b.bdd_nodes,
-            sat_conflicts: b.sat_conflicts,
             candidates: b.candidates,
         }
     }
@@ -82,7 +79,6 @@ impl BudgetSpec {
         let mut b = Budget {
             deadline: None,
             bdd_nodes: self.bdd_nodes,
-            sat_conflicts: self.sat_conflicts,
             candidates: self.candidates,
         };
         if let Some(ms) = self.deadline_ms {

@@ -79,26 +79,6 @@ impl Default for Budget {
     }
 }
 
-impl From<&hyde_guard::Budget> for Budget {
-    /// Projects the pipeline-wide [`hyde_guard::Budget`] onto the
-    /// solver's per-call budget: `sat_conflicts` becomes the conflict
-    /// cap and the remaining time until `deadline` (if any) becomes the
-    /// time cap. Unset fields stay unlimited.
-    fn from(b: &hyde_guard::Budget) -> Self {
-        let unlimited = Budget::unlimited();
-        Budget {
-            max_conflicts: b.sat_conflicts.unwrap_or(unlimited.max_conflicts),
-            max_time: b
-                .deadline
-                // sa:allow(SA002): converting a caller deadline into the
-                // sanctioned time budget; affects only when we give up
-                // (Outcome::Unknown), never which model is found.
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .unwrap_or(unlimited.max_time),
-        }
-    }
-}
-
 const UNASSIGNED: i8 = 0;
 const NO_REASON: i32 = -1;
 const VAR_DECAY: f64 = 0.95;
@@ -501,24 +481,6 @@ impl Solver {
         out
     }
 
-    /// Solves under the pipeline-wide [`hyde_guard::Budget`], mapping a
-    /// budget-exhausted [`Outcome::Unknown`] to a typed
-    /// [`hyde_guard::OutOfBudget`] so callers on the fallback ladder can
-    /// step down a rung instead of interpreting `Unknown` themselves.
-    pub fn solve_guarded(
-        &mut self,
-        assumptions: &[Lit],
-        budget: &hyde_guard::Budget,
-    ) -> Result<Outcome, hyde_guard::OutOfBudget> {
-        match self.solve_budgeted(assumptions, &Budget::from(budget)) {
-            Outcome::Unknown => Err(hyde_guard::OutOfBudget::new(
-                hyde_guard::Resource::SatConflicts,
-                budget.sat_conflicts.unwrap_or(0),
-            )),
-            out => Ok(out),
-        }
-    }
-
     fn solve_budgeted_inner(&mut self, assumptions: &[Lit], budget: &Budget) -> Outcome {
         self.core.clear();
         if !self.ok {
@@ -731,23 +693,6 @@ mod tests {
         let mut core = s.unsat_core().to_vec();
         core.sort_unstable();
         assert_eq!(core, vec![v[0], v[3]]);
-    }
-
-    #[test]
-    fn guarded_budget_maps_unknown_to_out_of_budget() {
-        let mut s = Solver::new();
-        let v = fresh(&mut s, 2);
-        s.add_clause(&[v[0], v[1]]);
-        // A deadline in the past exhausts the projected time budget.
-        let spent = hyde_guard::Budget {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..hyde_guard::Budget::unlimited()
-        };
-        let err = s.solve_guarded(&[], &spent).unwrap_err();
-        assert_eq!(err.resource, hyde_guard::Resource::SatConflicts);
-        // An open budget answers normally.
-        let open = hyde_guard::Budget::unlimited().with_sat_conflicts(100_000);
-        assert_eq!(s.solve_guarded(&[], &open), Ok(Outcome::Sat));
     }
 
     #[test]

@@ -183,7 +183,6 @@ pub fn decode(line: &str) -> Result<JournalEvent, String> {
                 Some(b) => BudgetSpec {
                     deadline_ms: opt_num(b, "deadline_ms"),
                     bdd_nodes: opt_num(b, "bdd_nodes").map(|n| n as usize),
-                    sat_conflicts: opt_num(b, "sat_conflicts"),
                     candidates: opt_num(b, "candidates").map(|n| n as usize),
                 },
                 None => BudgetSpec::unlimited(),

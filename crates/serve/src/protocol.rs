@@ -197,7 +197,6 @@ fn budget_field(doc: &Json) -> Result<BudgetSpec, ProtoError> {
     Ok(BudgetSpec {
         deadline_ms: num_field(b, "deadline_ms")?,
         bdd_nodes: num_field(b, "bdd_nodes")?.map(|n| n as usize),
-        sat_conflicts: num_field(b, "sat_conflicts")?,
         candidates: num_field(b, "candidates")?.map(|n| n as usize),
     })
 }
@@ -282,9 +281,6 @@ pub fn budget_json(b: &BudgetSpec) -> String {
     if let Some(v) = b.bdd_nodes {
         parts.push(format!("\"bdd_nodes\":{v}"));
     }
-    if let Some(v) = b.sat_conflicts {
-        parts.push(format!("\"sat_conflicts\":{v}"));
-    }
     if let Some(v) = b.candidates {
         parts.push(format!("\"candidates\":{v}"));
     }
@@ -317,6 +313,22 @@ mod tests {
         assert_eq!(spec.name, "misex1");
         assert_eq!(spec.budget, BudgetSpec::unlimited());
         assert!(spec.resolve().is_ok());
+    }
+
+    #[test]
+    fn budget_with_a_retired_conflict_cap_key_still_parses() {
+        // Clients written when the budget had a SAT conflict cap still
+        // send it; the key is ignored like any other unknown key.
+        let req = parse_request(
+            "{\"op\":\"submit\",\"id\":\"j1\",\"kind\":\"suite\",\"circuit\":\"misex1\",\
+             \"budget\":{\"candidates\":64,\"sat_conflicts\":1000}}",
+        )
+        .unwrap();
+        let Request::Submit(spec) = req else {
+            panic!("not a submit")
+        };
+        assert_eq!(spec.budget.candidates, Some(64));
+        assert_eq!(budget_json(&spec.budget), "{\"candidates\":64}");
     }
 
     #[test]
