@@ -3,10 +3,8 @@
 //!
 //! A finding's identity is `(code, file, message)` — the line is
 //! deliberately excluded so unrelated edits shifting a finding down a
-//! file do not register as regressions. Both `hyde-sa-v1` and
-//! `hyde-sa-v2` reports are accepted as baseline input (v1 findings
-//! have no severity field and are treated as deny), mirroring
-//! hyde-bench's schema policy.
+//! file do not register as regressions. Only the current `hyde-sa-v2`
+//! schema is accepted as baseline input.
 
 use std::collections::BTreeSet;
 
@@ -27,14 +25,15 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Parses baseline JSON. Accepts `hyde-sa-v1` and `hyde-sa-v2`.
+    /// Parses baseline JSON. Accepts only the current schema
+    /// ([`crate::report::SCHEMA`]).
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let root = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
         let schema = root
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("baseline has no \"schema\" field")?;
-        if schema != "hyde-sa-v1" && schema != crate::report::SCHEMA {
+        if schema != crate::report::SCHEMA {
             return Err(format!("unsupported baseline schema '{schema}'"));
         }
         let findings = root
@@ -93,21 +92,16 @@ mod tests {
     }
 
     #[test]
-    fn accepts_v1_and_v2() {
-        let v1 = r#"{"schema": "hyde-sa-v1", "findings": [
-            {"code": "SA001", "pass": "p", "file": "a.rs", "line": 3, "message": "m"}
-        ]}"#;
-        let b = Baseline::parse(v1).unwrap();
-        assert_eq!(b.schema, "hyde-sa-v1");
-        assert!(b.contains(&finding("SA001", "a.rs", "m")));
-        assert!(!b.contains(&finding("SA001", "a.rs", "other")));
-
+    fn accepts_v2_and_rejects_v1() {
         let v2 = r#"{"schema": "hyde-sa-v2", "findings": [
             {"code": "SA009", "pass": "p", "severity": "deny", "file": "b.rs",
              "line": 1, "message": "m2", "path": ["x", "y"]}
         ]}"#;
         let b2 = Baseline::parse(v2).unwrap();
         assert!(b2.contains(&finding("SA009", "b.rs", "m2")));
+        assert!(!b2.contains(&finding("SA009", "b.rs", "other")));
+        // The previous schema generation is rejected.
+        assert!(Baseline::parse(&v2.replace("-v2", "-v1")).is_err());
     }
 
     #[test]
@@ -119,7 +113,7 @@ mod tests {
     #[test]
     fn diff_surfaces_only_new_denies() {
         let b = Baseline::parse(
-            r#"{"schema": "hyde-sa-v1", "findings": [
+            r#"{"schema": "hyde-sa-v2", "findings": [
                 {"code": "SA001", "file": "a.rs", "message": "known"}]}"#,
         )
         .unwrap();

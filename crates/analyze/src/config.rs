@@ -17,7 +17,7 @@ pub const RESULT_AFFECTING: &[&str] = &["core", "bdd", "map", "sat", "logic"];
 pub const BUDGETED: &[&str] = &["core", "map"];
 
 /// The documented span taxonomy (`DESIGN.md` → Observability). Every
-/// `span!`/`map_chunked*` name literal in non-test code must be listed
+/// `span!`/`map_chunked` name literal in non-test code must be listed
 /// here, and each entry must appear somewhere in its crate.
 pub const SPANS: &[(&str, &str)] = &[
     ("varpart.select_best", "core"),

@@ -1,6 +1,5 @@
 //! The shipped passes, one module per concern.
 
-pub mod budget;
 pub mod budget_flow;
 pub mod determinism;
 pub mod diag;

@@ -2,7 +2,7 @@
 //! `DESIGN.md` is a contract, not a suggestion.
 //!
 //! * **SA005** checks spans three ways: every `span!("...")` /
-//!   `map_chunked*(.., "...")` name literal in production code must be
+//!   `map_chunked(.., "...")` name literal in production code must be
 //!   in the documented taxonomy; every documented span must actually be
 //!   opened somewhere in its owning crate; and each phase-level function
 //!   on the roster (`config::PHASE_FNS`) must open its span in its own
@@ -31,7 +31,7 @@ fn production(f: &SourceFile) -> bool {
 
 /// Collects `(line, name)` span-name literals in `file`: the string
 /// argument of `span!(..)` and the span-label argument of
-/// `map_chunked`/`map_chunked_init` calls.
+/// `map_chunked` calls.
 fn span_literals(file: &SourceFile) -> Vec<(u32, String)> {
     let toks = file.toks();
     let mut out = Vec::new();
@@ -49,7 +49,7 @@ fn span_literals(file: &SourceFile) -> Vec<(u32, String)> {
                     out.push((s.line, s.text.clone()));
                 }
             }
-            "map_chunked" | "map_chunked_init" => {
+            "map_chunked" => {
                 // The span label is the first string literal among the
                 // arguments.
                 if !toks.get(i + 1).is_some_and(|p| p.is_punct('(')) {

@@ -1,9 +1,8 @@
 //! SA011 — parallel-merge determinism: closures handed to
-//! `hyde_core::parallel::map_chunked` / `map_chunked_init` /
-//! `map_stealing_init` must not smuggle order dependence past the
-//! deterministic input-order merge.
+//! `hyde_core::parallel::map_chunked` must not smuggle order dependence
+//! past the deterministic input-order merge.
 //!
-//! The schedulers guarantee byte-identical results across
+//! The scheduler guarantees byte-identical results across
 //! `HYDE_THREADS` *only* when the worker closure is a pure function of
 //! its item: block boundaries and steal order move with the thread
 //! count and with runtime timing, so anything
@@ -33,7 +32,7 @@ use crate::source::{FileKind, SourceFile};
 /// The parallel-merge determinism pass (SA011).
 pub struct ParMergePass;
 
-const ENTRY_FNS: &[&str] = &["map_chunked", "map_chunked_init", "map_stealing_init"];
+const ENTRY_FN: &str = "map_chunked";
 const SHARED_TYPES: &[&str] = &[
     "Mutex",
     "RwLock",
@@ -349,7 +348,7 @@ impl Pass for ParMergePass {
                         Expr::Method { name, args, .. } => (name.as_str(), args),
                         _ => return,
                     };
-                    if !ENTRY_FNS.contains(&name) {
+                    if name != ENTRY_FN {
                         return;
                     }
                     for arg in args {

@@ -166,7 +166,6 @@ impl Registry {
         let mut r = Registry::empty();
         r.register(Box::new(crate::passes::determinism::DeterminismPass));
         r.register(Box::new(crate::passes::panic_surface::PanicSurfacePass));
-        r.register(Box::new(crate::passes::budget::BudgetPass));
         r.register(Box::new(crate::passes::obs::ObsPass));
         r.register(Box::new(crate::passes::diag::DiagRegistryPass));
         r.register(Box::new(crate::passes::features::FeatureHygienePass));

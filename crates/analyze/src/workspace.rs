@@ -101,9 +101,13 @@ impl Workspace {
             let rel = rel_path(root, &path);
             pairs.push((rel, read(&path)?));
         }
-        ws.files = hyde_core::parallel::map_chunked("sa.lex", &pairs, threads, |(rel, text)| {
-            SourceFile::new(rel, text)
-        });
+        ws.files = hyde_core::parallel::map_chunked(
+            "sa.lex",
+            &pairs,
+            threads,
+            || (),
+            |(), (rel, text)| SourceFile::new(rel, text),
+        );
         hyde_obs::counter("sa.files", ws.files.len() as u64);
         manifest_paths.sort();
         for path in manifest_paths {

@@ -165,17 +165,6 @@ fn sa003_missing_and_stale_ratchet_entries_are_findings() {
     );
 }
 
-#[test]
-fn sa004_shim_is_silent() {
-    // SA004 is superseded by SA010; what used to fire stays quiet.
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/x.rs",
-        "pub fn boom(bdd: &mut Bdd, a: Ref, b: Ref, c: Ref) -> Ref { bdd.ite(a, b, c) }\n",
-    )]);
-    let r = run_pass(Box::new(passes::budget::BudgetPass), &ws);
-    assert!(r.clean(), "{:?}", r.findings);
-}
-
 /// An empty (header-only) SA009 ratchet file.
 const SA009_EMPTY: (&str, &str) = (
     "crates/analyze/ratchets/SA009-panic-reach.txt",
@@ -307,7 +296,7 @@ fn sa011_flags_impure_worker_closures() {
         "crates/core/src/x.rs",
         "pub fn f(items: &[u32]) -> Vec<u32> {\n\
              let mut acc: Vec<u32> = Vec::new();\n\
-             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, |x| {\n\
+             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, || (), |(), x| {\n\
                  acc.push(*x);\n\
                  *x + 1\n\
              })\n\
@@ -325,7 +314,7 @@ fn sa011_flags_impure_worker_closures() {
     let clean = Workspace::from_sources(&[(
         "crates/core/src/x.rs",
         "pub fn f(items: &[u32]) -> Vec<u32> {\n\
-             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, |x| {\n\
+             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, || (), |(), x| {\n\
                  let mut local: Vec<u32> = Vec::new();\n\
                  local.push(*x);\n\
                  local[0] + 1\n\
@@ -341,13 +330,13 @@ fn sa011_flags_float_accumulation_and_unordered_collections() {
     let ws = Workspace::from_sources(&[(
         "crates/core/src/x.rs",
         "pub fn f(items: &[f64], mut total: f64) -> Vec<f64> {\n\
-             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, |x| {\n\
+             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, || (), |(), x| {\n\
                  total += *x * 0.5;\n\
                  *x\n\
              })\n\
          }\n\
          pub fn g(items: &[u32]) -> Vec<usize> {\n\
-             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, |x| {\n\
+             hyde_core::parallel::map_chunked(\"sa.lex\", items, 2, || (), |(), x| {\n\
                  let m: std::collections::HashSet<u32> = std::collections::HashSet::new();\n\
                  m.len() + *x as usize\n\
              })\n\
@@ -513,11 +502,11 @@ const DIAG_DECL: &str = "pub enum Code { NetworkCycle }\n\
 const DIAG_TEST: &str = "#[test]\n\
     fn exercises_codes() {\n\
         assert_eq!(Code::NetworkCycle.as_str(), \"HY001\");\n\
-        let _all_sa = \"SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 \
+        let _all_sa = \"SA001 SA002 SA003 SA005 SA006 SA007 SA008 \
     SA009 SA010 SA011 SA012 SA013\";\n\
     }\n";
 const DESIGN_OK: &str = "HY001 network cycle.\n\
-    SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 SA009 SA010 SA011 \
+    SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 SA011 \
     SA012 SA013 analyzer codes.\n";
 
 #[test]
@@ -527,7 +516,7 @@ fn sa007_flags_undocumented_and_untested_codes() {
         ("crates/logic/tests/diag.rs", DIAG_TEST),
         (
             "DESIGN.md",
-            "SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 SA009 SA010 \
+            "SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 \
              SA011 SA012 SA013\n",
         ),
     ]);
@@ -572,7 +561,7 @@ fn sa007_flags_stale_doc_rows_and_duplicate_literals() {
         (
             "DESIGN.md",
             "HY001 and the long-gone HY999.\n\
-             SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 SA009 SA010 \
+             SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 \
              SA011 SA012 SA013\n",
         ),
     ]);

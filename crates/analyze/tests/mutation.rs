@@ -201,49 +201,30 @@ fn sa010_fires_on_budget_less_flow_with_call_path() {
 
 #[test]
 fn sa011_fires_on_impure_worker_closure() {
-    let mut ws = workspace();
-    let file = "crates/core/src/varpart.rs";
-    mutate_file(&mut ws, file, |t| {
-        format!(
-            "{t}\npub fn mutated_par(items: &[u32]) -> Vec<u32> {{\n\
-             \x20   let mut acc: Vec<u32> = Vec::new();\n\
-             \x20   crate::parallel::map_chunked(\"sa.lex\", items, 2, |x| {{\n\
-             \x20       acc.push(*x);\n\
-             \x20       *x + 1\n\
-             \x20   }})\n}}\n"
-        )
-    });
-    assert!(fires(
-        &ws,
-        Box::new(passes::par_merge::ParMergePass),
-        "SA011",
-        file
-    ));
-}
-
-#[test]
-fn sa011_fires_on_impure_stealing_worker() {
-    // The work-stealing scheduler is the primitive the chunked wrappers
-    // delegate to; direct callers get the same worker-purity checks, so
-    // the pass keeps firing even if the wrappers disappear.
-    let mut ws = workspace();
-    let file = "crates/core/src/varpart.rs";
-    mutate_file(&mut ws, file, |t| {
-        format!(
-            "{t}\npub fn mutated_steal(items: &[u32]) -> Vec<u32> {{\n\
-             \x20   let seen = std::sync::Mutex::new(Vec::new());\n\
-             \x20   crate::parallel::map_stealing_init(\"sa.lex\", items, 2, || (), |_, x| {{\n\
-             \x20       seen.lock().unwrap().push(*x);\n\
-             \x20       *x + 1\n\
-             \x20   }})\n}}\n"
-        )
-    });
-    assert!(fires(
-        &ws,
-        Box::new(passes::par_merge::ParMergePass),
-        "SA011",
-        file
-    ));
+    // A captured Vec pushed to, and a captured Mutex locked, inside the
+    // worker closure.
+    for (capture, mutation) in [
+        ("let mut acc: Vec<u32> = Vec::new();", "acc.push(*x);"),
+        (
+            "let seen = std::sync::Mutex::new(Vec::new());",
+            "seen.lock().unwrap().push(*x);",
+        ),
+    ] {
+        let mut ws = workspace();
+        let file = "crates/core/src/varpart.rs";
+        mutate_file(&mut ws, file, |t| {
+            format!(
+                "{t}\npub fn mutated_par(items: &[u32]) -> Vec<u32> {{\n\
+                 \x20   {capture}\n\
+                 \x20   crate::parallel::map_chunked(\"sa.lex\", items, 2, || (), |(), x| {{\n\
+                 \x20       {mutation}\n\
+                 \x20       *x + 1\n\
+                 \x20   }})\n}}\n"
+            )
+        });
+        let pass = Box::new(passes::par_merge::ParMergePass);
+        assert!(fires(&ws, pass, "SA011", file), "{mutation}");
+    }
 }
 
 #[test]

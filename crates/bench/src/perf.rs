@@ -1,6 +1,6 @@
 //! End-to-end performance measurement with JSON output (`hyde-bench`).
 //!
-//! Unlike the table binaries (which reproduce the paper's numbers), this
+//! Unlike the table subcommands (which reproduce the paper's numbers), this
 //! module measures *runtime*: per-circuit wall time of the HYDE flow,
 //! with the LUT count and depth of each mapped network. Every column is
 //! measured on the mapping flow itself. Results serialize to a
@@ -13,7 +13,6 @@
 
 use hyde_circuits::Circuit;
 use hyde_core::CoreError;
-use hyde_guard::RetryPolicy;
 use hyde_map::flow::FlowKind;
 use hyde_map::session::{BudgetSpec, Job, JobErrorKind, Session};
 use hyde_obs::json::{self, Json};
@@ -83,14 +82,6 @@ fn budget_spec(budget: &hyde_guard::Budget) -> BudgetSpec {
     }
 }
 
-/// The single-attempt batch [`Session`] the bench drivers run on — the
-/// same supervised path `hyde-serve` uses, minus retries, so a
-/// panicking circuit (a bug, or a chaos-injected fault) becomes a typed
-/// error instead of aborting the whole batch.
-fn batch_session(k: usize) -> Session {
-    Session::new(k, FlowKind::hyde(0xDA98)).with_retry(RetryPolicy::single_attempt())
-}
-
 /// Runs the HYDE flow (k-input LUTs) over `circuits` under `budget`,
 /// measuring each. Exhausting the budget degrades down the hyde-map
 /// fallback ladder instead of failing the run.
@@ -134,25 +125,14 @@ fn measure(
     k: usize,
     budget: &hyde_guard::Budget,
 ) -> Result<Vec<CircuitSample>, CoreError> {
-    let session = batch_session(k);
+    let session = Session::new(k, FlowKind::hyde(0xDA98));
     let spec = budget_spec(budget);
     let mut samples = Vec::with_capacity(circuits.len());
     for c in circuits {
         let _obs = hyde_obs::span!("bench.circuit");
         let start = Instant::now();
         let job = Job::new(&c.name, c.outputs.clone()).with_budget(spec);
-        let report = match session.run(&job) {
-            Ok(result) => result.report,
-            Err(e) => {
-                return Err(match e.kind {
-                    JobErrorKind::Panicked(msg) => {
-                        CoreError::Verification(format!("circuit '{}' panicked: {msg}", c.name))
-                    }
-                    JobErrorKind::Mapping(msg) => CoreError::Verification(msg),
-                    JobErrorKind::OutOfBudget(ob) => CoreError::OutOfBudget(ob),
-                })
-            }
-        };
+        let report = session.run(&job).map_err(crate::job_error)?.report;
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         hyde_obs::observe("bench.circuit_wall_us", (wall_ms * 1e3) as u64);
         samples.push(CircuitSample {
@@ -319,7 +299,7 @@ pub fn run_chaos(
     seed: u64,
     budget: hyde_guard::Budget,
 ) -> ChaosRun {
-    let session = batch_session(k).with_chaos(seed);
+    let session = Session::new(k, FlowKind::hyde(0xDA98)).with_chaos(seed);
     let spec = budget_spec(&budget);
     let mut samples = Vec::with_capacity(circuits.len());
     for c in circuits {

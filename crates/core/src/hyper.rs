@@ -341,7 +341,8 @@ impl HyperNetwork {
             "hyper.collapse",
             &indices,
             threads,
-            |&idx| -> Result<Network, CoreError> {
+            || (),
+            |(), &idx| -> Result<Network, CoreError> {
                 let code = self.hyper.codes().code(idx);
                 let mut net = self.network.clone();
                 for (bit, &eta) in self.pseudo_inputs.iter().enumerate() {
@@ -436,8 +437,12 @@ impl HyperNetwork {
             .map(|i| (i * block, ((i + 1) * block).min(total)))
             .filter(|(lo, hi)| lo < hi)
             .collect();
-        let first_bad =
-            crate::parallel::map_chunked("hyper.scan", &ranges, threads, |&(lo, hi)| {
+        let first_bad = crate::parallel::map_chunked(
+            "hyper.scan",
+            &ranges,
+            threads,
+            || (),
+            |(), &(lo, hi)| {
                 for m in lo..hi {
                     let bits: Vec<bool> = pi_positions.iter().map(|&p| m >> p & 1 == 1).collect();
                     let got = merged.eval(&bits);
@@ -448,7 +453,8 @@ impl HyperNetwork {
                     }
                 }
                 None
-            });
+            },
+        );
         if let Some((o, m)) = first_bad.into_iter().flatten().next() {
             return Err(CoreError::Verification(format!(
                 "ingredient {o} differs at minterm {m}"

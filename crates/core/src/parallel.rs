@@ -1,4 +1,4 @@
-//! Deterministic work-stealing fork/join helpers for the embarrassingly
+//! Deterministic work-stealing fork/join for the embarrassingly
 //! parallel fan-out loops (bound-set candidate evaluation, per-ingredient
 //! implementation).
 //!
@@ -14,8 +14,8 @@
 //!
 //! The worker count comes from [`thread_count`]: the `HYDE_THREADS`
 //! environment variable when set (clamped to `1..=256`), otherwise the
-//! machine's available parallelism. With one worker the helpers degrade to
-//! a plain loop on the calling thread — no threads are spawned.
+//! machine's available parallelism. With one worker [`map_chunked`]
+//! degrades to a plain loop on the calling thread — no threads are spawned.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -57,49 +57,15 @@ fn claim_worker_tracks() -> bool {
 }
 
 /// Applies `f` to every item of `items`, returning the results in input
-/// order. Runs on `threads` scoped workers via the work-stealing block
-/// scheduler; `threads <= 1` (or a short input) runs inline.
+/// order. Runs on `threads` scoped workers; `threads <= 1` (or a short
+/// input) runs inline on the calling thread.
 ///
-/// `label` names the per-worker span recorded when tracing is active (one
-/// span per worker, on that worker's track), making the fan-out visible
-/// in Chrome-trace exports.
-///
-/// `f` must be deterministic per item for the parallel and sequential
-/// paths to agree; the merge itself preserves input order by construction.
-pub fn map_chunked<T, R, F>(label: &'static str, items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_stealing_init(label, items, threads, || (), |(), item| f(item))
-}
-
-/// Like [`map_chunked`], but each worker first builds private state with
-/// `init` (e.g. its own BDD manager) and threads it through every block
-/// it claims.
-///
-/// `init` runs once per worker, so it may be expensive relative to a
-/// single item; results still land at their input indices. `label` names
-/// the per-worker span as in [`map_chunked`].
-pub fn map_chunked_init<T, R, S, I, F>(
-    label: &'static str,
-    items: &[T],
-    threads: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    map_stealing_init(label, items, threads, init, f)
-}
-
-/// The work-stealing scheduler behind [`map_chunked`] and
-/// [`map_chunked_init`].
+/// Each worker first builds private state with `init` (e.g. its own BDD
+/// manager; pass `|| ()` when none is needed) and threads it through
+/// every block it claims, so `init` may be expensive relative to a single
+/// item. `label` names the per-worker span recorded when tracing is
+/// active (one span per worker, on that worker's track), making the
+/// fan-out visible in Chrome-trace exports.
 ///
 /// Items are pre-split into `min(threads * 8, len)` equal blocks with
 /// fixed boundaries; workers claim block indices from one shared atomic
@@ -115,7 +81,7 @@ where
 /// `sched.steal.blocks` (blocks scheduled) and `sched.steal.steals`
 /// (blocks claimed by a worker other than its static home worker — the
 /// amount of rebalancing the stealer performed over a static split).
-pub fn map_stealing_init<T, R, S, I, F>(
+pub fn map_chunked<T, R, S, I, F>(
     label: &'static str,
     items: &[T],
     threads: usize,
@@ -204,35 +170,48 @@ mod tests {
     #[test]
     fn inline_and_threaded_agree() {
         let items: Vec<u64> = (0..1000).collect();
-        let seq = map_chunked("test.sq", &items, 1, |&x| x * x + 1);
-        for t in [2, 3, 8, 64] {
-            assert_eq!(
-                map_chunked("test.sq", &items, t, |&x| x * x + 1),
-                seq,
-                "{t} threads"
-            );
+        // Each worker counts the items it saw: per-worker state must not
+        // leak into the results, which depend only on the item.
+        let run = |threads| {
+            map_chunked(
+                "test.sq",
+                &items,
+                threads,
+                || 0u64,
+                |seen, &x| {
+                    *seen += 1;
+                    x * x + 1
+                },
+            )
+        };
+        let seq = run(1);
+        for t in [2, 3, 7, 8, 32, 64] {
+            assert_eq!(run(t), seq, "{t} threads");
         }
     }
 
     #[test]
     fn preserves_input_order() {
         let items: Vec<usize> = (0..17).rev().collect();
-        let out = map_chunked("test.id", &items, 4, |&x| x);
+        let out = map_chunked("test.id", &items, 4, || (), |(), &x| x);
         assert_eq!(out, items);
     }
 
     #[test]
     fn handles_empty_and_singleton() {
         let empty: Vec<u32> = Vec::new();
-        assert!(map_chunked("test.id", &empty, 8, |&x| x).is_empty());
-        assert_eq!(map_chunked("test.id", &[7u32], 8, |&x| x + 1), vec![8]);
+        assert!(map_chunked("test.id", &empty, 8, || (), |(), &x| x).is_empty());
+        assert_eq!(
+            map_chunked("test.id", &[7u32], 8, || (), |(), &x| x + 1),
+            vec![8]
+        );
     }
 
     #[test]
     fn more_threads_than_items() {
         let items = [1u32, 2, 3];
         assert_eq!(
-            map_chunked("test.dbl", &items, 100, |&x| x * 2),
+            map_chunked("test.dbl", &items, 100, || (), |(), &x| x * 2),
             vec![2, 4, 6]
         );
     }
@@ -240,27 +219,6 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    fn init_variant_matches_plain_map() {
-        let items: Vec<u64> = (0..321).collect();
-        let plain = map_chunked("test.tri", &items, 1, |&x| x * 3);
-        for t in [1, 2, 7, 32] {
-            // State tracks a per-worker running offset that must NOT leak
-            // into results (each item's output depends only on the item).
-            let out = map_chunked_init(
-                "test.tri",
-                &items,
-                t,
-                || 0u64,
-                |seen, &x| {
-                    *seen += 1;
-                    x * 3
-                },
-            );
-            assert_eq!(out, plain, "{t} threads");
-        }
     }
 
     #[test]
@@ -282,8 +240,8 @@ mod tests {
                 x
             }
         };
-        let seq = map_chunked("test.skew", &items, 1, slow);
-        let par = map_chunked("test.skew", &items, 8, slow);
+        let seq = map_chunked("test.skew", &items, 1, || (), |(), x| slow(x));
+        let par = map_chunked("test.skew", &items, 8, || (), |(), x| slow(x));
         assert_eq!(seq, par);
     }
 
@@ -308,13 +266,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stealing_entry_point_matches_wrappers() {
-        let items: Vec<u64> = (0..123).collect();
-        let a = map_chunked("test.eq", &items, 4, |&x| x ^ 0xFF);
-        let b = map_stealing_init("test.eq", &items, 4, || (), |(), &x| x ^ 0xFF);
-        assert_eq!(a, b);
     }
 }

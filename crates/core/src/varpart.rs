@@ -295,7 +295,7 @@ impl VariablePartitioner {
         }
         let threads = parallel::thread_count();
         let counts: Vec<Result<usize, CoreError>> = if f.vars() > self.bdd_threshold {
-            parallel::map_chunked_init(
+            parallel::map_chunked(
                 "varpart.score",
                 &candidates,
                 threads,
@@ -367,7 +367,7 @@ impl VariablePartitioner {
         candidates: &[Vec<usize>],
         threads: usize,
     ) -> Result<Vec<Result<usize, CoreError>>, CoreError> {
-        let floors: Vec<usize> = parallel::map_chunked_init(
+        let floors: Vec<usize> = parallel::map_chunked(
             "varpart.floor",
             candidates,
             threads,
@@ -382,7 +382,7 @@ impl VariablePartitioner {
         let mut items: Vec<usize> = (0..candidates.len()).collect();
         items.sort_unstable_by(|&x, &y| candidates[x].cmp(&candidates[y]));
         let best = std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let scored: Vec<Result<usize, CoreError>> = parallel::map_chunked_init(
+        let scored: Vec<Result<usize, CoreError>> = parallel::map_chunked(
             "varpart.score",
             &items,
             threads,

@@ -30,7 +30,8 @@ files (each output becomes one LUT over all inputs, linted against its
 own table as specification; at most 16 inputs).
 
 Options:
-  -k <K>           fanin bound: report HY002 for LUTs with more than K fanins
+  -k <K>           fanin bound (at least 3): report HY002 for LUTs with
+                   more than K fanins
   --suite          lint the bundled circuit suite end-to-end
                    (decompose -> encode -> hyper-recover, k = 5)
   --deep           also run the HY4xx semantic proofs (SAT/BDD CEC,
@@ -105,7 +106,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "-k" | "--k" => {
                 let v = it.next().ok_or("-k needs a value")?;
-                opts.k = Some(v.parse().map_err(|_| format!("bad -k value '{v}'"))?);
+                let k: usize = v.parse().map_err(|_| format!("bad -k value '{v}'"))?;
+                if k < 3 {
+                    return Err(format!("bad -k value '{k}': LUT size must be at least 3"));
+                }
+                opts.k = Some(k);
             }
             "--proof-budget" => {
                 let v = it.next().ok_or("--proof-budget needs a value")?;

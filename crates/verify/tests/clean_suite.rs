@@ -90,3 +90,14 @@ fn hyper_recovery_path_has_no_deny_diagnostics() {
         );
     }
 }
+
+#[test]
+fn lut_size_below_three_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hyde-lint"))
+        .args(["--suite", "-k", "2"])
+        .output()
+        .expect("hyde-lint runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: "), "{stderr}");
+}
